@@ -103,7 +103,6 @@ class LedgerProbes:
         self._net = None
         self._replicas: dict[str, object] = {}
         self._entry_counters: dict[tuple[str, str], object] = {}
-        self._checkpoint_counters: dict[str, object] = {}
 
     def attach(self, cluster) -> "LedgerProbes":
         if self.cluster is cluster:
@@ -177,10 +176,7 @@ class LedgerProbes:
         )
         ledger.add_checkpoint(seq, entries, head, cert)
         if self.registry is not None:
-            counter = self._checkpoint_counters.get(ledger.node_id)
-            if counter is None:
-                counter = self._checkpoint_counters[ledger.node_id] = self.registry.counter(
-                    "audit_checkpoints_total", "Certified audit-ledger checkpoints",
-                    node=ledger.node_id,
-                )
-            counter.inc()
+            self.registry.counter(
+                "audit_checkpoints_total", "Certified audit-ledger checkpoints",
+                node=ledger.node_id,
+            ).inc()

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from ..probes import ObsPlane
 from ..registry import Registry
-from ..spans import Span, SpanRecorder
+from ..spans import Span
 from .detectors import Detector, Finding, default_detectors
 from .events import Evidence, HealthEvent
 from .recorder import FlightRecorder
@@ -47,35 +47,6 @@ WATCHED_FAMILIES = (
 )
 
 
-class _TappedRecorder(SpanRecorder):
-    """SpanRecorder that notifies the health plane on open/close.
-
-    This is the single interception point for every span *and* instant
-    event any probe records, so the flight recorder and the window
-    clock need no per-probe wiring.
-    """
-
-    def __init__(self, on_open, on_closed):
-        super().__init__()
-        self._on_open = on_open
-        self._on_closed = on_closed
-
-    def begin(self, name, t, **kwargs):
-        span = super().begin(name, t, **kwargs)
-        self._on_open(span)
-        return span
-
-    def end(self, span, t, **attrs):
-        span = super().end(span, t, **attrs)
-        self._on_closed(span)
-        return span
-
-    def event(self, name, t, **kwargs):
-        span = super().event(name, t, **kwargs)
-        self._on_closed(span)
-        return span
-
-
 class HealthPlane(ObsPlane):
     """Obs plane + SLO tracking + anomaly detection + flight recorder."""
 
@@ -88,8 +59,11 @@ class HealthPlane(ObsPlane):
         flight_capacity: int = 128,
         max_bundles: int = 12,
     ):
-        recorder = _TappedRecorder(self._span_opened, self._span_closed)
-        super().__init__(registry=registry, spans=recorder)
+        super().__init__(registry=registry)
+        # The recorder's tap sees every span and instant event any probe
+        # records, so the flight recorder and the window clock need no
+        # per-probe wiring.
+        self.spans.taps.append(self)
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         self.window = float(window)
@@ -150,7 +124,7 @@ class HealthPlane(ObsPlane):
 
     # -- span tap (window clock + flight recorder + client progress) ----------
 
-    def _span_opened(self, span: Span) -> None:
+    def span_opened(self, span: Span) -> None:
         if self._win is None:
             return
         self._maybe_tick()
@@ -158,7 +132,7 @@ class HealthPlane(ObsPlane):
             self._win.started += 1
             self._open_invokes += 1
 
-    def _span_closed(self, span: Span) -> None:
+    def span_closed(self, span: Span) -> None:
         self.flight.record(span)
         if self._win is None:
             return
@@ -188,7 +162,7 @@ class HealthPlane(ObsPlane):
     def _maybe_tick(self) -> None:
         if self._win is None or self._env is None:
             return
-        now = self.now
+        now = self._env._now
         while now >= self._win.end:
             self._close_window()
 

@@ -45,7 +45,7 @@ import dataclasses
 from typing import Optional
 
 from .registry import Registry
-from .spans import Span, SpanRecorder, trace_key
+from .spans import _FROM_STACK, Span, SpanRecorder, trace_key
 
 
 def _maybe_trace(message) -> Optional[str]:
@@ -121,6 +121,11 @@ class ObsPlane:
         self._queue_span: dict[str, Span] = {}
         # Open forwarding-hop span per trace (fronting Troxy side).
         self._forward_span: dict[str, Span] = {}
+        # Instruments of the hottest probes by label values, resolved
+        # on first use: phase histograms by span name; ecall, host and
+        # network counters.
+        self._phase_hist: dict[str, object] = {}
+        self._handles: dict[tuple, object] = {}
 
     # -- attachment -----------------------------------------------------------
 
@@ -206,7 +211,7 @@ class ObsPlane:
         trace = f"{client.client_id}#{request_id}"
         node = getattr(client, "node", None) or client.machine.node
         span = self.spans.begin(
-            "client.invoke", self.now, trace_id=trace, node=node.name,
+            "client.invoke", self._env._now, trace_id=trace, node=node.name,
             client=client.client_id, op=op.name, read=op.is_read,
         )
         self._root_span[trace] = span
@@ -242,17 +247,22 @@ class ObsPlane:
                         trace = trace_key(state.client_request)
             if trace is not None:
                 break
+        node = enclave.node.name
         if trace is None:
             # Certify ecalls carry only (counter, value, digest); while
             # the leader certifies an ORDER we know whose request it is.
-            trace = self._certify_trace.get(enclave.node.name)
-        self.registry.counter(
-            "ecall_transitions_total", "Enclave boundary crossings",
-            node=enclave.node.name, enclave=enclave.name, ecall=name,
-        ).inc()
+            trace = self._certify_trace.get(node)
+        key = ("ecall", node, enclave.name, name)
+        counter = self._handles.get(key)
+        if counter is None:
+            counter = self._handles[key] = self.registry.counter(
+                "ecall_transitions_total", "Enclave boundary crossings",
+                node=node, enclave=enclave.name, ecall=name,
+            )
+        counter.inc()
         return self.spans.begin(
-            f"enclave.ecall:{name}", self.now, trace_id=trace,
-            node=enclave.node.name, enclave=enclave.name,
+            f"enclave.ecall:{name}", self._env._now, trace_id=trace,
+            node=node, enclave=enclave.name,
             bytes_in=bytes_in, bytes_out=bytes_out,
         )
 
@@ -276,12 +286,16 @@ class ObsPlane:
                 trace = trace_key(state.client_request)
             else:
                 attrs["nonce"] = nonce
-        self.registry.counter(
-            "troxy_host_messages_total", "Messages pumped by the untrusted host",
-            node=host.node.name, type=type(payload).__name__,
-        ).inc()
+        key = ("host", host.node.name, attrs["type"])
+        counter = self._handles.get(key)
+        if counter is None:
+            counter = self._handles[key] = self.registry.counter(
+                "troxy_host_messages_total", "Messages pumped by the untrusted host",
+                node=host.node.name, type=attrs["type"],
+            )
+        counter.inc()
         return self.spans.begin(
-            "troxy.host", self.now, trace_id=trace, node=host.node.name, **attrs
+            "troxy.host", self._env._now, trace_id=trace, node=host.node.name, **attrs
         )
 
     def host_end(self, span: Span) -> None:
@@ -291,7 +305,7 @@ class ObsPlane:
 
     def cache_begin(self, core, client_request):
         return self.spans.begin(
-            "troxy.cache", self.now, trace_id=trace_key(client_request),
+            "troxy.cache", self._env._now, trace_id=trace_key(client_request),
             node=core.node.name,
         )
 
@@ -306,7 +320,7 @@ class ObsPlane:
     def fast_read_result(self, core, client_request, outcome: str) -> None:
         """Terminal fast-read verdict: hit, conflict, or timeout."""
         self.spans.event(
-            "troxy.fast_read", self.now, trace_id=trace_key(client_request),
+            "troxy.fast_read", self._env._now, trace_id=trace_key(client_request),
             node=core.node.name, outcome=outcome,
         )
         self.registry.counter(
@@ -319,7 +333,7 @@ class ObsPlane:
         locally under a valid lease) or ``cold`` (leased but no
         f+1-corroborated entry; ordered instead)."""
         self.spans.event(
-            "troxy.lease_read", self.now, trace_id=trace_key(client_request),
+            "troxy.lease_read", self._env._now, trace_id=trace_key(client_request),
             node=core.node.name, outcome=outcome,
         )
         self.registry.counter(
@@ -331,7 +345,7 @@ class ObsPlane:
         """A grant reached the holder's enclave: installed, expired,
         stale, or fenced by the sealed lease counter."""
         self.spans.event(
-            "troxy.lease_install", self.now, trace_id=None,
+            "troxy.lease_install", self._env._now, trace_id=None,
             node=core.node.name, key=grant.key, outcome=outcome,
         )
         self.registry.counter(
@@ -343,7 +357,7 @@ class ObsPlane:
         """The holder processed a revocation: lease dropped, epoch
         burned, key's cache entries invalidated."""
         self.spans.event(
-            "troxy.lease_revoke", self.now, trace_id=None,
+            "troxy.lease_revoke", self._env._now, trace_id=None,
             node=core.node.name, key=key,
         )
         self.registry.counter(
@@ -353,7 +367,7 @@ class ObsPlane:
 
     def vote_begin(self, core, reply):
         return self.spans.begin(
-            "troxy.vote", self.now, trace_id=_maybe_trace(reply),
+            "troxy.vote", self._env._now, trace_id=_maybe_trace(reply),
             node=core.node.name, voter=reply.replica_id,
         )
 
@@ -372,7 +386,7 @@ class ObsPlane:
         if requests is None:
             trace = _maybe_trace(payload)
             span = self.spans.begin(
-                "hybster.order", self.now, trace_id=trace, node=replica.node.name,
+                "hybster.order", self._env._now, trace_id=trace, node=replica.node.name,
             )
             if trace is not None:
                 self._order_span[trace] = span
@@ -386,7 +400,7 @@ class ObsPlane:
         for request in requests:
             trace = _maybe_trace(request)
             span = self.spans.begin(
-                "hybster.order", self.now, trace_id=trace,
+                "hybster.order", self._env._now, trace_id=trace,
                 node=replica.node.name, batch=len(requests),
                 parent=self._root_span.get(trace) if trace is not None else None,
             )
@@ -446,7 +460,7 @@ class ObsPlane:
         if trace is None:
             return None
         span = self.spans.begin(
-            "hybster.queue", self.now, trace_id=trace, node=replica.node.name,
+            "hybster.queue", self._env._now, trace_id=trace, node=replica.node.name,
             parent=self._root_span.get(trace),
         )
         self._queue_span[trace] = span
@@ -480,7 +494,7 @@ class ObsPlane:
         if trace is None:
             return None
         span = self.spans.begin(
-            "shard.forward", self.now, trace_id=trace, node=core.node.name,
+            "shard.forward", self._env._now, trace_id=trace, node=core.node.name,
             target=target,
         )
         self._forward_span[trace] = span
@@ -505,7 +519,7 @@ class ObsPlane:
 
     def order_committed(self, replica, request, seq: int) -> None:
         self.spans.event(
-            "hybster.commit", self.now, trace_id=_maybe_trace(request),
+            "hybster.commit", self._env._now, trace_id=_maybe_trace(request),
             node=replica.node.name, seq=seq,
         )
         self.registry.counter(
@@ -516,14 +530,10 @@ class ObsPlane:
     def execute_begin(self, replica, request, seq: int):
         trace = _maybe_trace(request)
         parent = self._order_span.get(trace) if trace is not None else None
-        if parent is not None:
-            return self.spans.begin(
-                "hybster.execute", self.now, trace_id=trace,
-                node=replica.node.name, parent=parent, seq=seq,
-            )
         return self.spans.begin(
-            "hybster.execute", self.now, trace_id=trace,
-            node=replica.node.name, seq=seq,
+            "hybster.execute", self._env._now, trace_id=trace,
+            node=replica.node.name,
+            parent=_FROM_STACK if parent is None else parent, seq=seq,
         )
 
     def execute_end(self, span: Span) -> None:
@@ -539,7 +549,7 @@ class ObsPlane:
     def _make_monitor_hook(self, replica_id: str):
         def hook(mode: str) -> None:
             self.spans.event(
-                "monitor.switch", self.now, node=replica_id, mode=mode
+                "monitor.switch", self._env._now, node=replica_id, mode=mode
             )
             self.registry.counter(
                 "monitor_mode_switches_total", "Adaptive total-order switches",
@@ -549,17 +559,20 @@ class ObsPlane:
         return hook
 
     def _net_tap(self, attempt) -> None:
-        labels = {
-            "src": attempt.src,
-            "dst": attempt.dst,
-            "type": type(attempt.payload).__name__,
-        }
-        self.registry.counter(
-            "net_messages_total", "Messages offered to the network", **labels
-        ).inc()
-        self.registry.counter(
-            "net_bytes_total", "Payload bytes offered to the network", **labels
-        ).inc(attempt.size)
+        key = ("net", attempt.src, attempt.dst, type(attempt.payload).__name__)
+        counters = self._handles.get(key)
+        if counters is None:
+            labels = dict(zip(("src", "dst", "type"), key[1:]))
+            counters = self._handles[key] = (
+                self.registry.counter(
+                    "net_messages_total", "Messages offered to the network", **labels
+                ),
+                self.registry.counter(
+                    "net_bytes_total", "Payload bytes offered to the network", **labels
+                ),
+            )
+        counters[0].inc()
+        counters[1].inc(attempt.size)
 
     # -- snapshots & lifecycle -----------------------------------------------------------------
 
@@ -637,9 +650,12 @@ class ObsPlane:
         """
         if span.end is not None:
             return False
-        self.spans.end(span, self.now, **attrs)
-        self.registry.histogram(
-            "phase_seconds", "Sim-time per protocol phase (span name)",
-            phase=span.name,
-        ).observe(span.duration)
+        self.spans.end(span, self._env._now, **attrs)
+        hist = self._phase_hist.get(span.name)
+        if hist is None:
+            hist = self._phase_hist[span.name] = self.registry.histogram(
+                "phase_seconds", "Sim-time per protocol phase (span name)",
+                phase=span.name,
+            )
+        hist.observe(span.end - span.start)
         return True

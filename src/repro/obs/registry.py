@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -48,6 +49,15 @@ def _label_key(labels: dict) -> tuple[tuple[str, str], ...]:
         if not _LABEL_RE.match(key):
             raise RegistryError(f"invalid label name: {key!r}")
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _quantile_tuple(name: str, quantiles: Sequence[float]) -> tuple[float, ...]:
+    qs = tuple(sorted(float(q) for q in quantiles))
+    if not qs:
+        raise RegistryError(f"quantile {name} needs at least one quantile")
+    if any(not 0.0 < q < 1.0 for q in qs):
+        raise RegistryError(f"quantile {name} quantiles must be in (0, 1)")
+    return qs
 
 
 class Counter:
@@ -116,10 +126,10 @@ class Histogram:
     def observe(self, value: Number) -> None:
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                break
+        # First bound >= value; the recheck drops NaN (bisect puts it at 0).
+        i = bisect_left(self.buckets, value)
+        if i < len(self.counts) and value <= self.buckets[i]:
+            self.counts[i] += 1
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, +Inf last."""
@@ -151,14 +161,9 @@ class Quantile:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         compression: int = 64,
     ):
-        qs = tuple(sorted(float(q) for q in quantiles))
-        if not qs:
-            raise RegistryError(f"quantile {name} needs at least one quantile")
-        if any(not 0.0 < q < 1.0 for q in qs):
-            raise RegistryError(f"quantile {name} quantiles must be in (0, 1)")
         self.name = name
         self.labels = labels
-        self.quantiles = qs
+        self.quantiles = _quantile_tuple(name, quantiles)
         self.sketch = QuantileSketch(compression=compression)
 
     def observe(self, value: Number) -> None:
@@ -194,18 +199,27 @@ class _Family:
 
 
 class Registry:
-    """Get-or-create store of instruments, keyed by name + labels."""
+    """Get-or-create store of instruments, keyed by name + labels.
+
+    Each factory call is first looked up by its exact signature (kind,
+    name, help, buckets or quantiles, labels in call order), so a repeated
+    probe costs one dict hit and gets the same instrument back. Only a
+    miss validates names and labels, checks kind, bucket and quantile
+    conflicts, and fills a late ``help``. A call that raises is never
+    cached, so it raises every time.
+    """
 
     def __init__(self):
         self._families: dict[str, _Family] = {}
+        self._handles: dict[tuple, object] = {}
 
     # -- instrument factories -------------------------------------------------
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return self._get(name, "counter", help, labels, Counter)
+        return self._instrument("counter", name, help, labels)
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        return self._get(name, "gauge", help, labels, Gauge)
+        return self._instrument("gauge", name, help, labels)
 
     def histogram(
         self,
@@ -214,20 +228,7 @@ class Registry:
         buckets: Optional[Sequence[float]] = None,
         **labels,
     ) -> Histogram:
-        family = self._family(name, "histogram", help)
-        bounds = tuple(sorted(float(b) for b in buckets)) if buckets else DEFAULT_BUCKETS
-        if family.buckets is None:
-            family.buckets = bounds
-        elif family.buckets != bounds:
-            raise RegistryError(
-                f"histogram {name} re-registered with different buckets"
-            )
-        key = _label_key(labels)
-        instrument = family.instruments.get(key)
-        if instrument is None:
-            instrument = Histogram(name, key, family.buckets)
-            family.instruments[key] = instrument
-        return instrument
+        return self._instrument("histogram", name, help, labels, buckets)
 
     def quantile(
         self,
@@ -237,33 +238,25 @@ class Registry:
         compression: int = 64,
         **labels,
     ) -> Quantile:
-        family = self._family(name, "quantile", help)
-        if quantiles is not None:
-            qs = tuple(sorted(float(q) for q in quantiles))
-            if not qs:
-                raise RegistryError(
-                    f"quantile {name} needs at least one quantile"
-                )
-            if any(not 0.0 < q < 1.0 for q in qs):
-                raise RegistryError(
-                    f"quantile {name} quantiles must be in (0, 1)"
-                )
-        else:
-            qs = DEFAULT_QUANTILES
-        if family.quantiles is None:
-            family.quantiles = qs
-        elif family.quantiles != qs:
-            raise RegistryError(
-                f"quantile {name} re-registered with different quantiles"
-            )
-        key = _label_key(labels)
-        instrument = family.instruments.get(key)
-        if instrument is None:
-            instrument = Quantile(name, key, family.quantiles, compression)
-            family.instruments[key] = instrument
+        return self._instrument(
+            "quantile", name, help, labels, quantiles, compression
+        )
+
+    def _instrument(self, kind, name, help, labels, spec=None, compression=64):
+        spec = None if spec is None else tuple(spec)
+        key = (kind, name, help, spec, compression, *labels.items())
+        try:
+            return self._handles[key]
+        except (KeyError, TypeError):
+            pass
+        instrument = self._resolve(kind, name, help, labels, spec, compression)
+        # Only string label values are cached: 1 and True are equal keys
+        # but render differently, and unhashable values cannot be keys.
+        if all(type(value) is str for value in labels.values()):
+            self._handles[key] = instrument
         return instrument
 
-    def _family(self, name: str, kind: str, help: str) -> _Family:
+    def _resolve(self, kind, name, help, labels, spec, compression):
         _check_name(name)
         family = self._families.get(name)
         if family is None:
@@ -275,14 +268,31 @@ class Registry:
             )
         if help and not family.help:
             family.help = help
-        return family
-
-    def _get(self, name: str, kind: str, help: str, labels: dict, factory):
-        family = self._family(name, kind, help)
+        if kind == "histogram":
+            bounds = tuple(sorted(float(b) for b in spec)) if spec else DEFAULT_BUCKETS
+            if family.buckets is None:
+                family.buckets = bounds
+            elif family.buckets != bounds:
+                raise RegistryError(
+                    f"histogram {name} re-registered with different buckets"
+                )
+        elif kind == "quantile":
+            qs = DEFAULT_QUANTILES if spec is None else _quantile_tuple(name, spec)
+            if family.quantiles is None:
+                family.quantiles = qs
+            elif family.quantiles != qs:
+                raise RegistryError(
+                    f"quantile {name} re-registered with different quantiles"
+                )
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = factory(name, key)
+            if kind == "histogram":
+                instrument = Histogram(name, key, family.buckets)
+            elif kind == "quantile":
+                instrument = Quantile(name, key, family.quantiles, compression)
+            else:
+                instrument = (Counter if kind == "counter" else Gauge)(name, key)
             family.instruments[key] = instrument
         return instrument
 

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 _FROM_STACK = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed phase (or instant event, when ``end == start``)."""
 
@@ -59,10 +59,16 @@ def trace_key(message) -> str:
 
 
 class SpanRecorder:
-    """Collects spans; builds per-trace trees."""
+    """Collects spans; builds per-trace trees.
+
+    ``taps`` is the one interception point for every span and instant
+    event: each tap's ``span_opened(span)`` runs after a span begins and
+    its ``span_closed(span)`` after a span ends or an event is recorded.
+    """
 
     def __init__(self):
         self.spans: list[Span] = []
+        self.taps: list = []
         self._ids = itertools.count(1)
         self._open_by_trace: dict[str, list[Span]] = {}
         self._by_id: dict[int, Span] = {}
@@ -82,20 +88,11 @@ class SpanRecorder:
         **attrs,
     ) -> Span:
         """Open a span at sim-time ``t``; close it with :meth:`end`."""
-        parent_id = self._resolve_parent(trace_id, parent, node)
-        span = Span(
-            span_id=next(self._ids),
-            name=name,
-            trace_id=trace_id,
-            node=node,
-            start=t,
-            parent_id=parent_id,
-            attrs=dict(attrs),
-        )
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
+        span = self._add(name, t, trace_id, node, parent, attrs, None, "span")
         if trace_id is not None:
             self._open_by_trace.setdefault(trace_id, []).append(span)
+        for tap in self.taps:
+            tap.span_opened(span)
         return span
 
     def end(self, span: Span, t: float, **attrs) -> Span:
@@ -104,16 +101,20 @@ class SpanRecorder:
         if t < span.start:
             raise ValueError(f"span {span.span_id} would end before it began")
         span.end = t
-        span.attrs.update(attrs)
+        if attrs:
+            span.attrs.update(attrs)
         if span.trace_id is not None:
             stack = self._open_by_trace.get(span.trace_id)
             if stack is not None:
-                try:
-                    stack.remove(span)
-                except ValueError:
-                    pass
+                # By identity, innermost first: spans mostly close LIFO.
+                for i in range(len(stack) - 1, -1, -1):
+                    if stack[i] is span:
+                        del stack[i]
+                        break
                 if not stack:
                     del self._open_by_trace[span.trace_id]
+        for tap in self.taps:
+            tap.span_closed(span)
         return span
 
     def event(
@@ -126,18 +127,14 @@ class SpanRecorder:
         **attrs,
     ) -> Span:
         """Record an instant event (zero-duration leaf)."""
+        span = self._add(name, t, trace_id, node, parent, attrs, t, "event")
+        for tap in self.taps:
+            tap.span_closed(span)
+        return span
+
+    def _add(self, name, t, trace_id, node, parent, attrs, end, kind) -> Span:
         parent_id = self._resolve_parent(trace_id, parent, node)
-        span = Span(
-            span_id=next(self._ids),
-            name=name,
-            trace_id=trace_id,
-            node=node,
-            start=t,
-            parent_id=parent_id,
-            attrs=dict(attrs),
-            end=t,
-            kind="event",
-        )
+        span = Span(next(self._ids), name, trace_id, node, t, parent_id, attrs, end, kind)
         self.spans.append(span)
         self._by_id[span.span_id] = span
         return span
